@@ -56,8 +56,8 @@ datasetPlan(const Options& opts)
         p.instances = 3;
     } else if (opts.dataset == "po") {
         p.simScale = 0.006;
-        p.serveScale = 0.003;
-        p.tuneScale = 0.01;
+        p.serveScale = 0.002;
+        p.tuneScale = 0.006;
         p.instances = 3;
     } else {
         throw std::invalid_argument("unknown dataset " + opts.dataset +
